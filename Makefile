@@ -13,11 +13,13 @@ vet:
 
 # race exercises the concurrency-sensitive packages — the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
-# park/wake paths, the per-thread trace rings, the metrics registry, and the
-# parallel sweep worker pool — under the race detector. Keep this green
-# before touching openmp, internal/obs or internal/core.
+# park/wake paths, the per-thread trace rings, the metrics registry, the
+# parallel sweep worker pool, the pooled influence-heatmap fits, the
+# concurrent forest fits and the measurement harness — under the race
+# detector. Keep this green before touching openmp, internal/obs,
+# internal/core, internal/ml or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./internal/core ./internal/obs
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./internal/core ./internal/obs ./internal/ml ./internal/measure
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,

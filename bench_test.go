@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"omptune/internal/core"
 	"omptune/internal/ml"
 	"omptune/internal/report"
 	"omptune/internal/sim"
@@ -133,27 +134,36 @@ func BenchmarkFig1_AlignmentViolins(b *testing.B) {
 	}
 }
 
-func BenchmarkFig2_HeatmapByApp(b *testing.B) {
+// benchHeatmap fits one grouping's heatmap and renders it, both timed.
+func benchHeatmap(b *testing.B, g core.Grouping, render func(io.Writer, *core.Heatmap) error) {
 	ds := benchDS(b)
 	opt := ml.LogisticOptions{Epochs: 60}
 	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig2(w, ds, opt) })
+		logOnce(b, i, func(w io.Writer) error {
+			hm, err := core.InfluenceHeatmap(ds, g, opt)
+			if err != nil {
+				return err
+			}
+			return render(w, hm)
+		})
 	}
 }
 
-func BenchmarkFig3_HeatmapByArch(b *testing.B) {
-	ds := benchDS(b)
-	opt := ml.LogisticOptions{Epochs: 60}
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig3(w, ds, opt) })
-	}
-}
+func BenchmarkFig2_HeatmapByApp(b *testing.B) { benchHeatmap(b, core.PerApp, report.Fig2) }
 
-func BenchmarkFig4_HeatmapByAppArch(b *testing.B) {
+func BenchmarkFig3_HeatmapByArch(b *testing.B) { benchHeatmap(b, core.PerArch, report.Fig3) }
+
+func BenchmarkFig4_HeatmapByAppArch(b *testing.B) { benchHeatmap(b, core.PerArchApp, report.Fig4) }
+
+// BenchmarkInfluenceHeatmaps fits the three groupings of Figs 2–4 in one
+// pooled call, the way WriteReport does for Q3 and the figures.
+func BenchmarkInfluenceHeatmaps(b *testing.B) {
 	ds := benchDS(b)
 	opt := ml.LogisticOptions{Epochs: 60}
 	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig4(w, ds, opt) })
+		if _, err := core.InfluenceHeatmaps(ds, opt, core.PerArch, core.PerApp, core.PerArchApp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

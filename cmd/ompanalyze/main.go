@@ -64,6 +64,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -178,16 +179,23 @@ func main() {
 	}
 	if *heatmap != "" {
 		ran = true
-		var g = map[string]func() error{
-			"app":     func() error { return report.Fig2(os.Stdout, load(), defaultML()) },
-			"arch":    func() error { return report.Fig3(os.Stdout, load(), defaultML()) },
-			"apparch": func() error { return report.Fig4(os.Stdout, load(), defaultML()) },
+		figs := map[string]struct {
+			g      core.Grouping
+			render func(io.Writer, *core.Heatmap) error
+		}{
+			"app":     {core.PerApp, report.Fig2},
+			"arch":    {core.PerArch, report.Fig3},
+			"apparch": {core.PerArchApp, report.Fig4},
 		}
-		fn, ok := g[*heatmap]
+		fig, ok := figs[*heatmap]
 		if !ok {
 			fatal(fmt.Errorf("-heatmap wants app, arch or apparch"))
 		}
-		if err := fn(); err != nil {
+		hm, err := core.InfluenceHeatmap(load(), fig.g, defaultML())
+		if err != nil {
+			fatal(err)
+		}
+		if err := fig.render(os.Stdout, hm); err != nil {
 			fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,29 +52,26 @@ func Drill(ds *dataset.Dataset, app string, arch topology.Arch, opt ml.LogisticO
 	}
 	d := &DrillDown{App: app, Arch: arch}
 
-	// Level 1: per architecture (Fig 3).
-	fig3, err := InfluenceHeatmap(ds, PerArch, opt)
-	if err != nil {
+	// Each level reads one row of its heatmap, so only those three groups
+	// are fitted: the arch row of Fig 3, the app row of Fig 2 and the
+	// app@arch row of Fig 4. The full dataset's application list keeps the
+	// Application codes those rows have in the full heatmaps.
+	fits := []groupFit{
+		{label: string(arch), samples: ds.ByArch(arch).Samples, cols: featureCols(PerArch)},
+		{label: app, samples: ds.ByApp(app).Samples, cols: featureCols(PerApp)},
+		{label: app + "@" + string(arch), samples: sub.Samples, cols: featureCols(PerArchApp)},
+	}
+	if err := fitGroups(fits, distinctApps(ds), opt); err != nil {
 		return nil, err
 	}
-	d.ArchLevelAppInfluence = fig3.RowInfluence(string(arch), FeatApp)
-
-	// Level 2: per application (Fig 2).
-	fig2, err := InfluenceHeatmap(ds, PerApp, opt)
-	if err != nil {
-		return nil, err
+	rowInfluence := func(f groupFit, feature string) float64 {
+		return f.cells[slices.Index(f.cols, feature)]
 	}
-	d.AppLevelArchInfluence = fig2.RowInfluence(app, FeatArch)
-
-	// Level 3: the finest grouping, restricted to this app-arch pair.
-	fig4, err := InfluenceHeatmap(sub, PerArchApp, opt)
-	if err != nil {
-		return nil, err
-	}
-	row := app + "@" + string(arch)
+	d.ArchLevelAppInfluence = rowInfluence(fits[0], FeatApp)
+	d.AppLevelArchInfluence = rowInfluence(fits[1], FeatArch)
 	for _, v := range env.Names() {
 		d.Variables = append(d.Variables, RankedVariable{
-			Variable: v, Influence: fig4.RowInfluence(row, string(v)),
+			Variable: v, Influence: rowInfluence(fits[2], string(v)),
 		})
 	}
 	sort.SliceStable(d.Variables, func(i, j int) bool {

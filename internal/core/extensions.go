@@ -36,29 +36,19 @@ type ModelComparison struct {
 // baseline — quantifying how much the linear restriction costs (§VI).
 func CompareModels(ds *dataset.Dataset, g Grouping, logOpt ml.LogisticOptions, treeOpt ml.TreeOptions, nTrees int) ([]ModelComparison, error) {
 	appNames := distinctApps(ds)
-	var cols []string
-	switch g {
-	case PerApp:
-		cols = append(baseFeatures(), FeatArch)
-	case PerArch:
-		cols = append(baseFeatures(), FeatApp)
-	default:
-		cols = baseFeatures()
-	}
 	var out []ModelComparison
-	for _, key := range groupKeys(ds, g) {
-		sub := groupSubset(ds, g, key)
-		x, y := featurize(sub, cols, appNames)
-		mc := ModelComparison{Group: key, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
+	for _, grp := range bucketGroups(ds, []Grouping{g})[0] {
+		x, y := featurize(grp.samples, grp.cols, appNames)
+		mc := ModelComparison{Group: grp.label, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
 		if hasBothClasses(y) {
 			lm, err := ml.FitLogistic(x, y, logOpt)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s logistic: %w", key, err)
+				return nil, fmt.Errorf("core: %s logistic: %w", grp.label, err)
 			}
 			mc.LogisticAcc = lm.Accuracy(x, y)
 			fm, err := ml.FitForest(x, y, nTrees, treeOpt)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s forest: %w", key, err)
+				return nil, fmt.Errorf("core: %s forest: %w", grp.label, err)
 			}
 			mc.ForestAcc = fm.Accuracy(x, y)
 		} else {
@@ -115,8 +105,8 @@ func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees in
 		if train.Len() == 0 {
 			continue
 		}
-		xTr, yTr := featurize(train, cols, nil)
-		xTe, yTe := featurize(test, cols, nil)
+		xTr, yTr := featurize(train.Samples, cols, nil)
+		xTe, yTe := featurize(test.Samples, cols, nil)
 		row := TransferRow{App: app, HeldOut: held, Majority: majorityAccuracy(yTe)}
 		if hasBothClasses(yTr) {
 			fm, err := ml.FitForest(xTr, yTr, nTrees, treeOpt)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"omptune/internal/dataset"
@@ -61,12 +61,14 @@ func appCode(name string, names []string) float64 {
 	return -1
 }
 
-// featurize builds the design matrix and labels for a dataset subset.
-func featurize(ds *dataset.Dataset, cols []string, appNames []string) ([][]float64, []bool) {
-	x := make([][]float64, 0, ds.Len())
-	y := make([]bool, 0, ds.Len())
-	for _, s := range ds.Samples {
-		row := make([]float64, len(cols))
+// featurize builds the design matrix and labels for a group's samples. All
+// rows are backed by one slab.
+func featurize(samples []*dataset.Sample, cols []string, appNames []string) ([][]float64, []bool) {
+	slab := make([]float64, len(samples)*len(cols))
+	x := make([][]float64, len(samples))
+	y := make([]bool, len(samples))
+	for i, s := range samples {
+		row := slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
 		for j, c := range cols {
 			switch c {
 			case FeatInput:
@@ -81,10 +83,23 @@ func featurize(ds *dataset.Dataset, cols []string, appNames []string) ([][]float
 				row[j] = s.Config.Feature(env.VarName(c))
 			}
 		}
-		x = append(x, row)
-		y = append(y, s.Optimal())
+		x[i] = row
+		y[i] = s.Optimal()
 	}
 	return x, y
+}
+
+// featureCols is the feature list of a grouping strategy: the base
+// features plus the context feature that varies within its groups.
+func featureCols(g Grouping) []string {
+	switch g {
+	case PerApp:
+		return append(baseFeatures(), FeatArch)
+	case PerArch:
+		return append(baseFeatures(), FeatApp)
+	default:
+		return baseFeatures()
+	}
 }
 
 // Heatmap is a rows x features influence matrix; each row sums to 1.
@@ -100,44 +115,36 @@ type Heatmap struct {
 // InfluenceHeatmap trains one logistic-regression classifier per group and
 // assembles the weight-normalized coefficient magnitudes into the heatmap
 // of the requested grouping: Fig. 2 (PerApp), Fig. 3 (PerArch) or
-// Fig. 4 (PerArchApp).
+// Fig. 4 (PerArchApp). It is the one-grouping case of InfluenceHeatmaps.
 func InfluenceHeatmap(ds *dataset.Dataset, g Grouping, opt ml.LogisticOptions) (*Heatmap, error) {
-	appNames := distinctApps(ds)
-	var cols []string
-	switch g {
-	case PerApp:
-		cols = append(baseFeatures(), FeatArch)
-	case PerArch:
-		cols = append(baseFeatures(), FeatApp)
-	default:
-		cols = baseFeatures()
+	hms, err := InfluenceHeatmaps(ds, opt, g)
+	if err != nil {
+		return nil, err
 	}
-	groups := groupKeys(ds, g)
-	hm := &Heatmap{Features: cols}
-	for _, key := range groups {
-		sub := groupSubset(ds, g, key)
-		if sub.Len() == 0 {
-			continue
-		}
-		x, y := featurize(sub, cols, appNames)
-		if !hasBothClasses(y) {
-			// A group where nothing (or everything) beats the default has no
-			// decision boundary; report zero influence, as the paper's
-			// missing Sort/Strassen cells do.
-			hm.RowLabels = append(hm.RowLabels, key)
-			hm.Cells = append(hm.Cells, make([]float64, len(cols)))
-			hm.Accuracy = append(hm.Accuracy, 1)
-			continue
-		}
-		model, err := ml.FitLogistic(x, y, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: group %s: %w", key, err)
-		}
-		hm.RowLabels = append(hm.RowLabels, key)
-		hm.Cells = append(hm.Cells, model.Influence())
-		hm.Accuracy = append(hm.Accuracy, model.Accuracy(x, y))
+	return hms[0], nil
+}
+
+// InfluenceHeatmaps returns the influence heatmap of each requested
+// grouping, in the order asked, with rows in sorted group-label order. It
+// splits ds into the groups of every grouping in one pass and fits all
+// their classifiers on one bounded pool (see fitGroups).
+func InfluenceHeatmaps(ds *dataset.Dataset, opt ml.LogisticOptions, groupings ...Grouping) ([]*Heatmap, error) {
+	buckets := bucketGroups(ds, groupings)
+	fits := slices.Concat(buckets...)
+	if err := fitGroups(fits, distinctApps(ds), opt); err != nil {
+		return nil, err
 	}
-	return hm, nil
+	hms := make([]*Heatmap, len(groupings))
+	for i, g := range groupings {
+		hms[i] = &Heatmap{Features: featureCols(g)}
+		for _, f := range fits[:len(buckets[i])] {
+			hms[i].RowLabels = append(hms[i].RowLabels, f.label)
+			hms[i].Cells = append(hms[i].Cells, f.cells)
+			hms[i].Accuracy = append(hms[i].Accuracy, f.acc)
+		}
+		fits = fits[len(buckets[i]):]
+	}
+	return hms, nil
 }
 
 // FeatureRank returns the features of a heatmap ordered by mean influence
@@ -207,41 +214,6 @@ func distinctApps(ds *dataset.Dataset) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func groupKeys(ds *dataset.Dataset, g Grouping) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range ds.Samples {
-		var k string
-		switch g {
-		case PerApp:
-			k = s.App
-		case PerArch:
-			k = string(s.Arch)
-		default:
-			k = s.App + "@" + string(s.Arch)
-		}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func groupSubset(ds *dataset.Dataset, g Grouping, key string) *dataset.Dataset {
-	return ds.Filter(func(s *dataset.Sample) bool {
-		switch g {
-		case PerApp:
-			return s.App == key
-		case PerArch:
-			return string(s.Arch) == key
-		default:
-			return s.App+"@"+string(s.Arch) == key
-		}
-	})
 }
 
 func hasBothClasses(y []bool) bool {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"omptune/internal/env"
@@ -105,13 +106,17 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		return err
 	}
 	row := make([]string, len(header))
+	// scale and default_runtime repeat on every row of a setting, so each
+	// keeps its last printed value instead of formatting it again.
+	var scale, def lastPrinted
+	var stored Sample // a sample's runtimes as printed in row[13:18]
 	for _, s := range d.Samples {
 		row[0] = string(s.Arch)
 		row[1] = s.App
 		row[2] = s.Suite
 		row[3] = s.Setting
 		row[4] = strconv.Itoa(s.Threads)
-		row[5] = fmt1(s.Scale)
+		row[5] = scale.print(s.Scale)
 		row[6] = s.Config.Value(env.VarPlaces)
 		row[7] = s.Config.Value(env.VarProcBind)
 		row[8] = s.Config.Value(env.VarSchedule)
@@ -122,9 +127,17 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		for r := 0; r < sim.Reps; r++ {
 			row[13+r] = fmt1(s.Runtimes[r])
 		}
-		row[17] = fmt1(s.DefaultRuntime)
-		row[18] = fmt1(s.Speedup())
-		row[19] = strconv.FormatBool(s.Optimal())
+		row[17] = def.print(s.DefaultRuntime)
+		// speedup and optimal are derived from the runtimes as stored, not
+		// at full precision, so that ReadCSV, which can only recompute them
+		// from the stored digits, rewrites the file byte for byte: at a
+		// rounding tie the two would print different last digits.
+		for r := 0; r < sim.Reps; r++ {
+			stored.Runtimes[r], _ = strconv.ParseFloat(row[13+r], 64)
+		}
+		stored.DefaultRuntime = def.stored
+		row[18] = fmt1(stored.Speedup())
+		row[19] = strconv.FormatBool(stored.Optimal())
 		if withSource {
 			row[20] = s.SourceName()
 		}
@@ -255,6 +268,24 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 }
 
 func fmt1(f float64) string { return strconv.FormatFloat(f, 'g', 10, 64) }
+
+// lastPrinted prints one CSV column with fmt1 and keeps the last value it
+// printed, its text and that text parsed back, for columns whose value
+// repeats from row to row.
+type lastPrinted struct {
+	bits   uint64
+	text   string
+	stored float64
+	ok     bool
+}
+
+func (c *lastPrinted) print(v float64) string {
+	if b := math.Float64bits(v); !c.ok || b != c.bits {
+		c.bits, c.text, c.ok = b, fmt1(v), true
+		c.stored, _ = strconv.ParseFloat(c.text, 64)
+	}
+	return c.text
+}
 
 // itoaOrEmpty renders an optional integer column: zero (unset) stays empty.
 func itoaOrEmpty(n int) string {

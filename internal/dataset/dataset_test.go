@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -514,6 +515,62 @@ func TestCSVSeriesMetaLegacyFilesUnchanged(t *testing.T) {
 		}
 		if buf.String() != legacy {
 			t.Fatalf("%s: legacy file not byte-identical after round-trip:\n got %q\nwant %q", name, buf.String(), legacy)
+		}
+	}
+}
+
+// TestCSVRewriteIsFixedPoint: a file written from full-precision runtimes
+// reads back and rewrites byte for byte. The runtimes here are a rounding
+// tie of the default campaign: they print as 6.4 and the default as
+// 6.55125, so the stored speedup 6.55125/6.4 = 1.0236328125 sits on a
+// 10th-digit tie (its float64 quotient prints …812), while the
+// full-precision mean lies just below 6.4 and prints …813.
+func TestCSVRewriteIsFixedPoint(t *testing.T) {
+	s := mkSample(topology.A64FX, "CG", "small", 1)
+	s.Runtimes = [4]float64{6.4 - 3e-12, 6.4 - 1e-12, 6.4 - 2e-12, 6.4 - 1e-12}
+	s.DefaultRuntime = 6.55125
+	ds := &Dataset{Samples: []*Sample{s}}
+	var first bytes.Buffer
+	if err := ds.WriteCSV(&first); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	back, err := ReadCSV(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadCSV: %v", err)
+	}
+	var second bytes.Buffer
+	if err := back.WriteCSV(&second); err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("rewrite differs:\n first: %s\nsecond: %s", first.String(), second.String())
+	}
+	if !strings.Contains(first.String(), ",6.4,6.4,6.4,6.4,6.55125,") {
+		t.Errorf("runtimes not stored as the tie values:\n%s", first.String())
+	}
+}
+
+// BenchmarkWriteCSV times the writer on 50k model-sourced samples with
+// full-precision runtimes, the shape of a sweep's output.
+func BenchmarkWriteCSV(b *testing.B) {
+	m := topology.MustGet(topology.Milan)
+	space := env.Space(m)
+	ds := &Dataset{}
+	for i := 0; i < 50000; i++ {
+		s := &Sample{
+			Arch: topology.Milan, App: "XSbench", Suite: "proxy", Setting: "t24",
+			Threads: 24, Scale: 1.0, Config: space[i%len(space)],
+			DefaultRuntime: 1.25 + float64(i%97)/1e3,
+		}
+		for r := range s.Runtimes {
+			s.Runtimes[r] = 1 + math.Sqrt(float64(i*4+r))/1e3
+		}
+		ds.Samples = append(ds.Samples, s)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ds.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

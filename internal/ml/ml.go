@@ -207,27 +207,39 @@ func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, 
 	if err != nil {
 		return nil, err
 	}
-	xs := scaler.Apply(x)
-	p := len(xs[0])
-	n := float64(len(xs))
+	// The standardized design matrix is one row-major slab (row i is
+	// xs[i*p:(i+1)*p]) and the labels are 0/1 targets, converted once. The
+	// epoch loop's floating-point operations and their order are pinned by
+	// TestLogisticBitIdentity: the influence heatmaps, and every report
+	// rendered from them, must stay the same bits when this loop changes.
+	p := len(x[0])
+	xs := make([]float64, len(x)*p)
+	for i, row := range x {
+		r := xs[i*p : (i+1)*p]
+		for j, v := range row {
+			r[j] = (v - scaler.Mean[j]) / scaler.Std[j]
+		}
+	}
+	ts := make([]float64, len(y))
+	for i, v := range y {
+		if v {
+			ts[i] = 1
+		}
+	}
+	n := float64(len(x))
 	w := make([]float64, p)
 	b := 0.0
 	gw := make([]float64, p)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		for j := range gw {
-			gw[j] = 0
-		}
+		clear(gw)
 		gb := 0.0
-		for i, row := range xs {
+		for i, t := range ts {
+			row := xs[i*p : (i+1)*p]
 			z := b
 			for j, v := range row {
 				z += w[j] * v
 			}
 			pr := sigmoid(z)
-			t := 0.0
-			if y[i] {
-				t = 1
-			}
 			e := t - pr
 			gb += e
 			for j, v := range row {

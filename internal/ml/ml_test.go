@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +174,27 @@ func TestSolveSingular(t *testing.T) {
 	a := [][]float64{{1, 1}, {1, 1}}
 	if _, err := solve(a, []float64{1, 2}); err == nil {
 		t.Error("singular system should error")
+	}
+}
+
+// BenchmarkFitLogistic times one fit on a group the size of a Fig 3 row
+// (~80k samples of the 11 §IV-D features).
+func BenchmarkFitLogistic(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([][]float64, 80000)
+	y := make([]bool, len(x))
+	for i := range x {
+		row := make([]float64, 11)
+		for j := range row {
+			row[j] = float64(rng.Intn(6))
+		}
+		x[i] = row
+		y[i] = row[1]-row[3]+rng.NormFloat64() > 0
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitLogistic(x, y, LogisticOptions{Epochs: 60}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

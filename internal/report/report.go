@@ -13,7 +13,6 @@ import (
 
 	"omptune/internal/core"
 	"omptune/internal/dataset"
-	"omptune/internal/ml"
 	"omptune/internal/stats"
 	"omptune/internal/topology"
 )
@@ -197,32 +196,21 @@ func shortFeature(f string) string {
 	return f
 }
 
-// Fig2 renders the per-application influence heatmap.
-func Fig2(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerApp, opt)
-	if err != nil {
-		return err
-	}
+// Fig2 renders hm, the per-application (core.PerApp) influence heatmap.
+func Fig2(w io.Writer, hm *core.Heatmap) error {
 	fmt.Fprintln(w, "Fig 2: feature influence, grouped by application (darker = larger)")
 	return Heatmap(w, hm)
 }
 
-// Fig3 renders the per-architecture influence heatmap.
-func Fig3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, opt)
-	if err != nil {
-		return err
-	}
+// Fig3 renders hm, the per-architecture (core.PerArch) influence heatmap.
+func Fig3(w io.Writer, hm *core.Heatmap) error {
 	fmt.Fprintln(w, "Fig 3: feature influence, grouped by architecture (darker = larger)")
 	return Heatmap(w, hm)
 }
 
-// Fig4 renders the per-application-architecture influence heatmap.
-func Fig4(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArchApp, opt)
-	if err != nil {
-		return err
-	}
+// Fig4 renders hm, the per-application-architecture (core.PerArchApp)
+// influence heatmap.
+func Fig4(w io.Writer, hm *core.Heatmap) error {
 	fmt.Fprintln(w, "Fig 4: feature influence, grouped by application-architecture (darker = larger)")
 	return Heatmap(w, hm)
 }
@@ -369,13 +357,10 @@ func Q2(w io.Writer, ds *dataset.Dataset) error {
 	return tw.Flush()
 }
 
-// Q3 prints the §V-Q3 analysis: the per-architecture variable ranking and
-// the share addressable through the derived OMP_WAIT_POLICY.
-func Q3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, opt)
-	if err != nil {
-		return err
-	}
+// Q3 prints the §V-Q3 analysis from the per-architecture heatmap
+// (core.PerArch): the variable ranking and the share addressable through
+// the derived OMP_WAIT_POLICY.
+func Q3(w io.Writer, hm *core.Heatmap) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture\tVariables (descending influence)\tOMP_WAIT_POLICY share")
 	for _, r := range core.Q3BestVariables(hm) {

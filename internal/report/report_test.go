@@ -71,8 +71,12 @@ func TestTablesRenderFromDataset(t *testing.T) {
 
 func TestHeatmapRendering(t *testing.T) {
 	ds := smallDS(t)
+	hms, err := core.InfluenceHeatmaps(ds, ml.LogisticOptions{Epochs: 40}, core.PerArch, core.PerApp, core.PerArchApp)
+	if err != nil {
+		t.Fatalf("InfluenceHeatmaps: %v", err)
+	}
 	var buf bytes.Buffer
-	if err := Fig3(&buf, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
+	if err := Fig3(&buf, hms[0]); err != nil {
 		t.Fatalf("Fig3: %v", err)
 	}
 	out := buf.String()
@@ -82,14 +86,14 @@ func TestHeatmapRendering(t *testing.T) {
 		}
 	}
 	var buf2 bytes.Buffer
-	if err := Fig2(&buf2, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
+	if err := Fig2(&buf2, hms[1]); err != nil {
 		t.Fatalf("Fig2: %v", err)
 	}
 	if !strings.Contains(buf2.String(), "arch") {
 		t.Error("Fig2 should include the Architecture column")
 	}
 	var buf4 bytes.Buffer
-	if err := Fig4(&buf4, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
+	if err := Fig4(&buf4, hms[2]); err != nil {
 		t.Fatalf("Fig4: %v", err)
 	}
 	if !strings.Contains(buf4.String(), "CG@milan") {
@@ -220,8 +224,12 @@ func TestQ2AndQ3Render(t *testing.T) {
 			t.Errorf("Q2 missing %q:\n%s", want, buf.String())
 		}
 	}
+	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{Epochs: 30})
+	if err != nil {
+		t.Fatalf("InfluenceHeatmap: %v", err)
+	}
 	var buf3 bytes.Buffer
-	if err := Q3(&buf3, ds, ml.LogisticOptions{Epochs: 30}); err != nil {
+	if err := Q3(&buf3, hm); err != nil {
 		t.Fatalf("Q3: %v", err)
 	}
 	for _, want := range []string{"a64fx", "WAIT_POLICY", "descending influence"} {

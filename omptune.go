@@ -468,6 +468,16 @@ func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return dataset.ReadCSV(r) }
 
 // WriteReport renders every table and figure of the paper from ds.
 func WriteReport(w io.Writer, ds *Dataset) error {
+	// Q3 and Figs 2–4 share one pooled fit of the three groupings, made by
+	// Q3, the first section to need it: hms is PerArch, PerApp, PerArchApp.
+	var hms []*core.Heatmap
+	q3 := func() (err error) {
+		hms, err = core.InfluenceHeatmaps(ds, ml.LogisticOptions{}, core.PerArch, core.PerApp, core.PerArchApp)
+		if err != nil {
+			return err
+		}
+		return report.Q3(w, hms[0])
+	}
 	sections := []struct {
 		title  string
 		render func() error
@@ -481,12 +491,12 @@ func WriteReport(w io.Writer, ds *Dataset) error {
 		{"Table VII: best performing variables and values", func() error { return report.TableVII(w, ds, []string{"Nqueens", "CG"}) }},
 		{"Q1: upshot potential per architecture", func() error { return report.Q1(w, ds) }},
 		{"Q2: variable-set consistency across architectures", func() error { return report.Q2(w, ds) }},
-		{"Q3: best variables per architecture", func() error { return report.Q3(w, ds, ml.LogisticOptions{}) }},
+		{"Q3: best variables per architecture", q3},
 		{"Q4: worst-performance trends", func() error { return report.Q4(w, ds) }},
 		{"Fig 1: Alignment runtime distributions", func() error { return report.Fig1(w, ds) }},
-		{"Fig 2: influence per application", func() error { return report.Fig2(w, ds, ml.LogisticOptions{}) }},
-		{"Fig 3: influence per architecture", func() error { return report.Fig3(w, ds, ml.LogisticOptions{}) }},
-		{"Fig 4: influence per application-architecture", func() error { return report.Fig4(w, ds, ml.LogisticOptions{}) }},
+		{"Fig 2: influence per application", func() error { return report.Fig2(w, hms[1]) }},
+		{"Fig 3: influence per architecture", func() error { return report.Fig3(w, hms[0]) }},
+		{"Fig 4: influence per application-architecture", func() error { return report.Fig4(w, hms[2]) }},
 		{"Fig 5: BT runtime distributions", func() error { return report.Fig5(w, ds) }},
 		{"Fig 6: Health runtime distributions", func() error { return report.Fig6(w, ds) }},
 		{"Fig 7: RSBench runtime distributions", func() error { return report.Fig7(w, ds) }},
